@@ -10,9 +10,6 @@
 //!
 //! * the *allocation-free* NUISE path (`nuise_step_into` with a warm
 //!   [`NuiseWorkspace`]) against the allocating reference,
-//! * multi-thread *scaling* of the complete 7-mode Khepera bank at
-//!   1/2/4 fan-out workers (bitwise-identical outputs; see
-//!   `DESIGN.md`, threading model),
 //! * the *telemetry overhead*: a detector step with the default
 //!   disabled sink versus one streaming spans into a
 //!   `RingBufferSink`, with an acceptance budget of 5 % on the
@@ -21,7 +18,7 @@
 //!
 //! Results are also written to `BENCH_perf.json` at the workspace root
 //! so CI can archive them. Set `ROBOADS_BENCH_FAST=1` for a smoke run
-//! with reduced batch counts (used by the CI perf smoke job).
+//! with reduced batch counts (used by the CI smoke jobs).
 //!
 //! Run with: `cargo bench -p roboads-bench --bench perf`
 
@@ -193,81 +190,6 @@ fn bench_detector_and_overhead(fast: bool) -> (f64, f64, f64) {
     (disabled, enabled, overhead)
 }
 
-/// Steps the complete 7-mode Khepera bank at 1/2/4 fan-out workers and
-/// returns `(threads, step seconds)` rows. The parallel runs produce
-/// bitwise-identical outputs to the sequential one (enforced by
-/// `roboads-core`'s determinism suite), so this measures pure schedule
-/// overhead vs. win.
-///
-/// These rows are **intra-step (dispatch-bound)**: the unit of parallel
-/// work is one ~2 µs mode step, so pool dispatch (~tens of µs) dominates
-/// and speedups sit below 1.0 on small banks — especially on single-core
-/// CI containers (see `available_parallelism` in `BENCH_perf.json`).
-/// Robot-grain batching (the `fleet_throughput` section) is the shape
-/// that scales; this section exists to keep the contrast measured.
-fn bench_scaling(fast: bool) -> Vec<ScalingRow> {
-    let system = presets::khepera_system();
-    let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-    let u = Vector::from_slice(&[0.06, 0.05]);
-    let x1 = system.dynamics().step(&x0, &u);
-    let readings = clean_readings(&system, &x1);
-    let (batches, per_batch) = if fast { (5, 5) } else { (30, 20) };
-    let mut rows: Vec<ScalingRow> = Vec::new();
-    for (requested, effective) in clamped_thread_grid() {
-        // A clamped request repeats an already-measured width; reuse the
-        // sample instead of re-timing the identical configuration.
-        let seconds = match rows.iter().find(|r| r.effective == effective) {
-            Some(prior) => prior.seconds,
-            None => {
-                let mut engine = MultiModeEngine::new(
-                    system.clone(),
-                    ModeSet::complete(&system),
-                    x0.clone(),
-                    &RoboAdsConfig::paper_defaults().with_threads(effective),
-                )
-                .unwrap();
-                assert_eq!(engine.threads(), effective);
-                time_median(batches, per_batch, || {
-                    engine.step(&u, &readings).unwrap();
-                })
-            }
-        };
-        report(
-            &format!(
-                "intra-step (dispatch-bound) threads={requested}{}",
-                clamp_mark(requested, effective)
-            ),
-            seconds,
-        );
-        rows.push(ScalingRow {
-            requested,
-            effective,
-            seconds,
-        });
-    }
-    let sequential = rows[0].seconds;
-    for row in rows.iter().skip(1) {
-        println!(
-            "{:<44} {:>9.2} x",
-            format!(
-                "intra-step (dispatch-bound) speedup threads={}{}",
-                row.requested,
-                clamp_mark(row.requested, row.effective)
-            ),
-            sequential / row.seconds
-        );
-    }
-    rows
-}
-
-/// One intra-step scaling sample (`requested` is what the table is
-/// keyed by; `effective` is what actually ran after host clamping).
-struct ScalingRow {
-    requested: usize,
-    effective: usize,
-    seconds: f64,
-}
-
 /// One fleet-throughput sample.
 struct FleetRow {
     robots: usize,
@@ -304,11 +226,10 @@ struct SlabGroupRow {
 
 /// Fleet throughput: N warm detectors stepped through one
 /// `FleetEngine::step_batch` per tick, at robot grain. Returns
-/// `(robots, threads, per-robot-step seconds)` rows. Unlike the
-/// intra-step section above, the unit of parallel work here is a whole
-/// ~30 µs detector step × `robots/threads`, so dispatch amortizes to
-/// noise and the per-robot-step cost stays at the standalone
-/// `detector_step` cost even at 1 thread.
+/// `(robots, threads, per-robot-step seconds)` rows. The unit of
+/// parallel work is a whole ~30 µs detector step × `robots/threads`,
+/// so dispatch amortizes to noise and the per-robot-step cost stays at
+/// the standalone `detector_step` cost even at 1 thread.
 fn bench_fleet_throughput(fast: bool) -> Vec<FleetRow> {
     let system = presets::khepera_system();
     let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
@@ -1409,7 +1330,6 @@ fn bench_substrates(fast: bool) {
 /// The per-section result rows `write_results` renders, bundled so the
 /// signature doesn't grow an argument per bench section.
 struct SectionRows<'a> {
-    scaling: &'a [ScalingRow],
     fleet: &'a [FleetRow],
     slab: &'a [SlabRow],
     slab_groups: &'a [SlabGroupRow],
@@ -1422,7 +1342,6 @@ struct SectionRows<'a> {
 
 fn write_results(nuise: (f64, f64), detector: (f64, f64, f64), rows: &SectionRows, fast: bool) {
     let SectionRows {
-        scaling,
         fleet,
         slab,
         slab_groups,
@@ -1444,17 +1363,6 @@ fn write_results(nuise: (f64, f64), detector: (f64, f64, f64), rows: &SectionRow
     o.field_f64("detector_step_noop_us", detector.0 * 1e6);
     o.field_f64("detector_step_ring_us", detector.1 * 1e6);
     o.field_f64("telemetry_overhead_pct", detector.2);
-    let rows = roboads_core::obs::json::array_of(scaling.iter().map(|r| {
-        let mut row = JsonObject::new();
-        row.field_str("grain", "intra-step (dispatch-bound)");
-        row.field_u64("threads", r.requested as u64);
-        row.field_u64("effective_threads", r.effective as u64);
-        row.field_bool("clamped", r.effective < r.requested);
-        row.field_f64("engine_step_us", r.seconds * 1e6);
-        row.field_f64("speedup", scaling[0].seconds / r.seconds);
-        row.finish()
-    }));
-    o.field_raw("intra_step_scaling_complete_modes_7", &rows);
     let fleet_rows = roboads_core::obs::json::array_of(fleet.iter().map(|r| {
         let mut row = JsonObject::new();
         row.field_u64("robots", r.robots as u64);
@@ -1578,14 +1486,12 @@ fn main() {
     // stepping measured in the same run — both drift-safe.
     let (shard, shard_recovery) = bench_shard_scaling(fast);
     check_shard_gate(&shard, &shard_recovery);
-    let scaling = bench_scaling(fast);
     bench_substrates(fast);
     bench_simulation(fast);
     write_results(
         nuise,
         detector,
         &SectionRows {
-            scaling: &scaling,
             fleet: &fleet,
             slab: &slab,
             slab_groups: &slab_groups,

@@ -5,7 +5,6 @@ use crate::{CoreError, Result};
 /// Sliding-window decision parameters: `criteria` positives within the
 /// last `window` iterations confirm an alarm (paper notation `c/w`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WindowConfig {
     /// Required number of positives `c`.
     pub criteria: usize,
@@ -22,7 +21,6 @@ impl WindowConfig {
 
 /// How the nonlinear model is linearized by the estimator.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Linearization {
     /// Re-linearize at the current estimate every control iteration —
     /// the RoboADS approach.
@@ -50,7 +48,6 @@ pub enum Linearization {
 /// on consistency collapse, χ²-window activity, or an audited dormant
 /// mode beating the selected mode by `wake_margin`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ActivationPolicy {
     /// Every mode advances every iteration — Algorithm 1 verbatim, and
     /// bitwise-identical to the engine before the policy existed.
@@ -98,7 +95,6 @@ impl ActivationPolicy {
 /// assert_eq!(config.actuator_window.criteria, 3);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RoboAdsConfig {
     /// Significance level for the sensor-misbehavior χ² tests.
     pub sensor_alpha: f64,
@@ -132,18 +128,6 @@ pub struct RoboAdsConfig {
     /// (the IMM transition prior; DESIGN.md §2f). `0.0` disables mixing
     /// (ablation).
     pub mode_mixing: f64,
-    /// Worker threads for the per-mode NUISE fan-out. `None` (the
-    /// default) lets the engine judge: banks whose estimated per-step
-    /// work falls below the pool's measured dispatch cost — every
-    /// built-in evaluation bank — run sequentially, and only genuinely
-    /// heavy banks widen to the machine's available parallelism.
-    /// `Some(n)` forces a width; `Some(1)` is the exact sequential
-    /// path. The engine never spawns more workers than it has modes,
-    /// and parallel output is bitwise identical to sequential (see
-    /// `DESIGN.md`, threading model). For many-robot deployments
-    /// prefer per-robot sequential engines batched by a
-    /// `FleetEngine`, which parallelizes at robot grain instead.
-    pub threads: Option<usize>,
     /// Lane width `K` of the fleet's SIMD-batched slab path: a
     /// `FleetEngine` whose robots share one system model and mode bank
     /// steps them `K` at a time through structure-of-arrays NUISE
@@ -175,7 +159,6 @@ impl RoboAdsConfig {
             compensate_actuator_anomalies: true,
             parsimony_rho: 0.05,
             mode_mixing: 0.02,
-            threads: None,
             slab_lanes: None,
             activation: ActivationPolicy::AlwaysFull,
         }
@@ -235,12 +218,6 @@ impl RoboAdsConfig {
             return Err(CoreError::InvalidConfig {
                 name: "mode_mixing",
                 value: format!("{}", self.mode_mixing),
-            });
-        }
-        if self.threads == Some(0) {
-            return Err(CoreError::InvalidConfig {
-                name: "threads",
-                value: "0".into(),
             });
         }
         if let Some(lanes) = self.slab_lanes {
@@ -320,13 +297,6 @@ impl RoboAdsConfig {
     /// Returns a copy with a different probability mixing rate.
     pub fn with_mode_mixing(mut self, mixing: f64) -> Self {
         self.mode_mixing = mixing;
-        self
-    }
-
-    /// Returns a copy pinning the NUISE fan-out to `threads` workers
-    /// (`1` = sequential; must be nonzero).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
         self
     }
 
@@ -414,23 +384,6 @@ mod tests {
         let mut c = RoboAdsConfig::paper_defaults();
         c.initial_covariance = -1.0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn thread_knob_validates() {
-        assert!(RoboAdsConfig::paper_defaults().threads.is_none());
-        RoboAdsConfig::paper_defaults()
-            .with_threads(1)
-            .validate()
-            .unwrap();
-        RoboAdsConfig::paper_defaults()
-            .with_threads(8)
-            .validate()
-            .unwrap();
-        assert!(RoboAdsConfig::paper_defaults()
-            .with_threads(0)
-            .validate()
-            .is_err());
     }
 
     #[test]

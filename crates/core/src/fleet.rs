@@ -1,19 +1,17 @@
 //! Fleet-scale batched detection: N independent [`RoboAds`] detectors
 //! stepped per control tick with dispatch amortized at *robot* grain.
 //!
-//! PR 2 measured why intra-step (per-mode) parallelism loses on the
-//! evaluation banks: a pool dispatch costs tens of microseconds while a
-//! warm NUISE mode step costs ~2 µs, so fanning 3–7 modes out buys
-//! nothing. A fleet monitor has a much better unit of work — one whole
-//! robot's detector step (engine fan-out, decision maker, report
+//! Per-mode parallelism cannot pay on the evaluation banks: a pool
+//! dispatch costs tens of microseconds while a warm NUISE mode step
+//! costs ~2 µs, so every [`crate::MultiModeEngine`] steps its modes
+//! sequentially. A fleet monitor has a much better unit of work — one
+//! whole robot's detector step (engine sweep, decision maker, report
 //! refill, ~30 µs warm) — and hundreds of them per tick. The
 //! [`FleetEngine`] therefore:
 //!
 //! * keeps a slab of per-robot cells (detector, caller-readable report
 //!   and result slot), pre-warmed so the steady state allocates nothing
 //!   on the sequential path;
-//! * forces every per-robot engine onto its sequential intra-step path
-//!   (`threads = Some(1)`) — parallelism lives at one grain only;
 //! * partitions the fleet into **model-signature groups**
 //!   ([`roboads_models::ModelSignature`] plus the engine-level config
 //!   discriminants) and runs one SIMD slab per group, so a
@@ -337,14 +335,6 @@ pub struct FleetEngine {
 impl FleetEngine {
     /// Builds a fleet from per-robot detectors and a worker count
     /// (clamped to at least 1; `1` means fully sequential ticks).
-    ///
-    /// Every detector is forced onto its sequential intra-step path:
-    /// the fleet parallelizes across robots, and nested per-mode
-    /// fan-out would multiply pool dispatches for work PR 2 measured as
-    /// dispatch-bound. Detectors built with `RoboAdsConfig::threads:
-    /// None` already resolve to sequential for the evaluation banks, so
-    /// this is a no-op there; an explicitly parallel detector cannot be
-    /// pushed into a fleet (see [`FleetEngine::push`]).
     pub fn new(detectors: Vec<RoboAds>, threads: usize) -> Self {
         let threads = threads.max(1);
         let pool = (threads > 1).then(|| {
@@ -367,29 +357,9 @@ impl FleetEngine {
             instruments,
         };
         for d in detectors {
-            fleet.push_cell(d);
+            fleet.push(d);
         }
         fleet
-    }
-
-    fn push_cell(&mut self, detector: RoboAds) {
-        assert_eq!(
-            detector.engine_threads(),
-            1,
-            "fleet robots must use the sequential intra-step path \
-             (build them with threads: None or Some(1))"
-        );
-        let fleet = self.slots.len();
-        self.slots.push(self.cells.len());
-        self.cells.push(RobotCell {
-            detector,
-            report: DetectionReport::blank(),
-            result: Ok(()),
-            fleet,
-        });
-        // Fleet composition changed; re-partition the signature groups
-        // (and job sizing) on the next batch.
-        self.slab = SlabState::Unknown;
     }
 
     /// Robot `fleet_index`'s grouping key. Allocates (signature + mode
@@ -599,13 +569,18 @@ impl FleetEngine {
     /// Appends another robot to the fleet. The signature partition is
     /// re-resolved on the next batch (`fleet.regroup` event, refreshed
     /// grouping gauges).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the detector was configured with an explicit intra-step
-    /// width greater than 1 — fleet parallelism is robot-grain only.
     pub fn push(&mut self, detector: RoboAds) {
-        self.push_cell(detector);
+        let fleet = self.slots.len();
+        self.slots.push(self.cells.len());
+        self.cells.push(RobotCell {
+            detector,
+            report: DetectionReport::blank(),
+            result: Ok(()),
+            fleet,
+        });
+        // Fleet composition changed; re-partition the signature groups
+        // (and job sizing) on the next batch.
+        self.slab = SlabState::Unknown;
     }
 
     /// Number of robots in the fleet.
@@ -1336,22 +1311,6 @@ mod tests {
             // tick of the batch sequence.
             assert_eq!(fleet.report(0), &expected, "report tainted at step {k}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "sequential intra-step path")]
-    fn explicitly_parallel_detectors_are_rejected() {
-        let system = presets::khepera_system();
-        let x0 = Vector::from_slice(&[0.5, 0.5, 0.2]);
-        let modes = ModeSet::one_reference_per_sensor(&system);
-        let d = RoboAds::new(
-            system,
-            RoboAdsConfig::paper_defaults().with_threads(3),
-            x0,
-            modes,
-        )
-        .unwrap();
-        FleetEngine::new(vec![d], 1);
     }
 
     /// Steps `fleet` once with clean inputs so the partition resolves.

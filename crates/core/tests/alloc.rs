@@ -4,8 +4,8 @@
 //! thread-local allocation counter; after one warm-up call populates
 //! the [`NuiseWorkspace`] scratch memory, a further `nuise_step_into`
 //! must perform **zero** heap allocations — the property the per-mode
-//! workspaces exist to guarantee (and the reason the fan-out can run
-//! at control-loop rates without allocator contention across workers).
+//! workspaces exist to guarantee (and the reason fleet pool workers
+//! step robots at control-loop rates without allocator contention).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -29,14 +29,14 @@
 //! than a single transition delay) stays well-defined when the base
 //! scenario's own misbehavior is concurrently active.
 
-use roboads_core::{ActivationPolicy, RoboAdsConfig};
+use roboads_core::{ActivationPolicy, DeadlinePolicy, RoboAdsConfig};
 use roboads_linalg::Vector;
 use roboads_stats::DetectionRate;
 
 use crate::attacks::{AttackKind, AttackSpec};
 use crate::eval::evaluate;
 use crate::misbehavior::{Corruption, Misbehavior, Target};
-use crate::runner::{FramePolicy, RobotKind, SimulationBuilder};
+use crate::runner::{RobotKind, SimulationBuilder};
 use crate::scenario::{Scenario, DEFAULT_DURATION, FIRST_TRIGGER};
 use crate::trace::Trace;
 use crate::Result;
@@ -96,7 +96,7 @@ pub struct CampaignCell {
     /// Campaign base seed folded into every trial seed.
     pub base_seed: u64,
     /// Monitor missing-frame policy for the runs.
-    pub frame_policy: FramePolicy,
+    pub frame_policy: DeadlinePolicy,
 }
 
 /// The aggregated result of one grid cell.
@@ -192,7 +192,7 @@ pub struct Campaign {
     component: usize,
     trials: usize,
     base_seed: u64,
-    frame_policy: FramePolicy,
+    frame_policy: DeadlinePolicy,
 }
 
 /// Bounded variant of Table II #4 (IPS spoofing, −0.1 m on X) that
@@ -254,7 +254,7 @@ impl Campaign {
             component: 0,
             trials: 5,
             base_seed: 0x20_18_05_17,
-            frame_policy: FramePolicy::HoldLast,
+            frame_policy: DeadlinePolicy::HoldLast,
         }
     }
 
@@ -307,10 +307,10 @@ impl Campaign {
     }
 
     /// Overrides the monitor missing-frame policy. The default
-    /// [`FramePolicy::HoldLast`] is the interesting one: a frozen input
+    /// [`DeadlinePolicy::HoldLast`] is the interesting one: a frozen input
     /// is data the detector can indict, while `MarkMissing` freezes the
     /// report stream itself and trivially blinds detection.
-    pub fn frame_policy(mut self, policy: FramePolicy) -> Self {
+    pub fn frame_policy(mut self, policy: DeadlinePolicy) -> Self {
         self.frame_policy = policy;
         self
     }

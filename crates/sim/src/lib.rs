@@ -61,7 +61,7 @@ pub use fleet::{FleetOutcome, FleetSimulationBuilder, FrameFault};
 pub use loadgen::{serve_traces_uds, stream_traces};
 pub use misbehavior::{Corruption, Misbehavior, Target};
 pub use platform::RobotPlatform;
-pub use runner::{evaluation_detector, FramePolicy, RobotKind, SimOutcome, SimulationBuilder};
+pub use runner::{evaluation_detector, RobotKind, SimOutcome, SimulationBuilder};
 pub use scenario::{GroundTruth, Scenario};
 pub use telemetry::{ModeTelemetry, TelemetrySummary};
 pub use trace::{Trace, TraceRecord};

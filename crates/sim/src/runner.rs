@@ -5,7 +5,8 @@ use roboads_control::{
 };
 use roboads_core::baseline::LinearizedOnceDetector;
 use roboads_core::{
-    DetectionReport, IncidentCapsule, ModeSet, RecorderConfig, RoboAds, RoboAdsConfig,
+    DeadlinePolicy, DetectionReport, IncidentCapsule, ModeSet, RecorderConfig, RoboAds,
+    RoboAdsConfig,
 };
 use roboads_linalg::Vector;
 use roboads_models::sensors::WheelEncoderOdometry;
@@ -30,29 +31,6 @@ pub enum RobotKind {
     Khepera,
     /// Tamiya TT-02 bicycle model (IPS + IMU + LiDAR).
     Tamiya,
-}
-
-/// How the monitor fills its inputs when no fresh frame for an
-/// arbitration id survived the tick — trashed, dropped, or only a
-/// stale-stamped replay present. The standalone mirror of
-/// [`FleetIngest`]'s `DeadlinePolicy`: the monitor consumes through the
-/// staleness-aware [`Bus::latest_fresh`] view and this policy decides
-/// what happens on a miss, instead of the old stale-blind
-/// `bus.latest(..).expect(..)` path that panicked on any trashed frame.
-///
-/// [`FleetIngest`]: crate::fleet::FleetSimulationBuilder
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FramePolicy {
-    /// Re-use the last consumed value for the missing id and keep
-    /// stepping the detector (default; a frozen input is exactly what
-    /// the detector should flag).
-    #[default]
-    HoldLast,
-    /// Freeze the detector: the step is skipped and the previous
-    /// tick's report re-used until fresh frames return. Degrades to
-    /// [`FramePolicy::HoldLast`] on the very first tick, when there is
-    /// no previous report to freeze.
-    MarkMissing,
 }
 
 /// The result of a full simulation run.
@@ -103,7 +81,7 @@ pub struct SimulationBuilder {
     telemetry: Option<Telemetry>,
     recorder: Option<RecorderConfig>,
     attacks: Vec<AttackSpec>,
-    frame_policy: FramePolicy,
+    frame_policy: DeadlinePolicy,
 }
 
 enum Detector {
@@ -159,7 +137,7 @@ impl SimulationBuilder {
             telemetry: None,
             recorder: None,
             attacks: Vec::new(),
-            frame_policy: FramePolicy::HoldLast,
+            frame_policy: DeadlinePolicy::HoldLast,
         }
     }
 
@@ -254,9 +232,21 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the monitor's missing-frame policy (default
-    /// [`FramePolicy::HoldLast`]).
-    pub fn frame_policy(mut self, policy: FramePolicy) -> Self {
+    /// Sets the monitor's missing-frame policy: what it does when no
+    /// fresh frame for an arbitration id survived the tick (trashed,
+    /// dropped, or only a stale-stamped replay present). The monitor
+    /// consumes through the staleness-aware [`Bus::latest_fresh`] view,
+    /// the standalone mirror of a fleet ingest deadline.
+    ///
+    /// * [`DeadlinePolicy::HoldLast`] (default) re-uses the last
+    ///   consumed value for the missing id and keeps stepping the
+    ///   detector — a frozen input is exactly what the detector should
+    ///   flag.
+    /// * [`DeadlinePolicy::MarkMissing`] freezes the detector: the step
+    ///   is skipped and the previous tick's report re-used until fresh
+    ///   frames return. It degrades to `HoldLast` on the very first
+    ///   tick, when there is no previous report to freeze.
+    pub fn frame_policy(mut self, policy: DeadlinePolicy) -> Self {
         self.frame_policy = policy;
         self
     }
@@ -383,7 +373,7 @@ impl SimulationBuilder {
             }
 
             // The monitor consumes the staleness-aware fresh view; a
-            // trashed/replayed id falls back per `FramePolicy` instead
+            // trashed/replayed id falls back per `DeadlinePolicy` instead
             // of panicking. With every frame on time this is the same
             // frame set `latest` would serve.
             let mut missing = false;
@@ -411,7 +401,7 @@ impl SimulationBuilder {
             };
 
             let freeze = missing
-                && self.frame_policy == FramePolicy::MarkMissing
+                && self.frame_policy == DeadlinePolicy::MarkMissing
                 && !trace.records().is_empty();
             let report = if freeze {
                 // Frozen tick: the detector neither steps nor records —
@@ -581,8 +571,8 @@ mod tests {
                 .run()
                 .unwrap()
         };
-        let hold = run(FramePolicy::HoldLast);
-        let mark = run(FramePolicy::MarkMissing);
+        let hold = run(DeadlinePolicy::HoldLast);
+        let mark = run(DeadlinePolicy::MarkMissing);
         for (a, b) in hold.trace.records().iter().zip(mark.trace.records()) {
             assert_eq!(a.readings, b.readings, "step {}", a.k);
             assert_eq!(a.report, b.report, "step {}", a.k);
@@ -632,7 +622,7 @@ mod tests {
             .scenario(Scenario::clean())
             .seed(5)
             .duration(100)
-            .frame_policy(FramePolicy::MarkMissing)
+            .frame_policy(DeadlinePolicy::MarkMissing)
             .bus_attack(AttackSpec::new(
                 AttackKind::FrameTrash,
                 0,
